@@ -23,6 +23,7 @@ from . import datasets
 from .errors import FhmdpError
 from .formats import (
     REPORT_FORMATS,
+    VALIDATION_MODES,
     compare_results,
     emit_report,
     load_expected_results,
@@ -30,7 +31,13 @@ from .formats import (
     load_policy,
     load_terminal_values,
 )
-from .oracle import MonteCarloEstimate, count_markov_policies, enumerate_optimal, simulate_policy
+from .oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    MonteCarloEstimate,
+    count_markov_policies,
+    enumerate_optimal,
+    simulate_policy,
+)
 from .solve import solve_backward_induction
 
 EXIT_OK = 0
@@ -182,7 +189,7 @@ def _add_common_model_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--validation",
-        choices=("tolerant", "strict", "renormalize"),
+        choices=VALIDATION_MODES,
         default="tolerant",
         help="transition row-sum handling on load (default: tolerant)",
     )
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cap",
         type=int,
-        default=10**6,
+        default=DEFAULT_ENUMERATION_CAP,
         help="refuse instances with more Markov policies than this (default 1e6)",
     )
     p.set_defaults(handler=cmd_verify)

@@ -13,12 +13,13 @@ offending location; violated model invariants raise
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import ModelFormatError, ModelValidationError
-from .model import PROBABILITY_TOLERANCE, Action, FiniteHorizonMdp
+from .model import PROBABILITY_TOLERANCE, FiniteHorizonMdp, row_sums
 from .solve import DecisionTable, SolveResult, ValueTable
 
 MODEL_FORMAT_VERSION = "1"
@@ -86,7 +87,10 @@ def _require(obj: Any, key: str, path: str) -> Any:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{path}: integer too large for a float") from None
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -122,35 +126,21 @@ def _check_version(obj: Any, expected: str, path: str) -> None:
         )
 
 
-def _dense_row(
-    transitions: list, state_count: int, path: str, where: str
-) -> list[float]:
-    row = [0.0] * state_count
-    seen: set[int] = set()
-    for t_idx, entry in enumerate(transitions):
-        t_path = f"{path}[{t_idx}]"
-        target = _as_int(_require(entry, "to_state", t_path), f"{t_path}.to_state")
-        probability = _as_number(
-            _require(entry, "probability", t_path), f"{t_path}.probability"
-        )
-        if not 1 <= target <= state_count:
-            raise ModelValidationError(
-                f"{where}: transition target {target} out of range 1..{state_count}"
-            )
-        if target in seen:
-            raise ModelValidationError(
-                f"{where}: duplicate transition target {target}"
-            )
-        seen.add(target)
-        row[target - 1] = probability
-    return row
+def _transition(entry: Any, path: str) -> tuple[int, float]:
+    target = _as_int(_require(entry, "to_state", path), f"{path}.to_state")
+    probability = _as_number(
+        _require(entry, "probability", path), f"{path}.probability"
+    )
+    return target, probability
 
 
 def load_model(data: str | bytes, mode: str = "tolerant") -> FiniteHorizonMdp:
     """Parse and validate a serialized model.
 
     ``mode`` selects row-sum handling (see ``VALIDATION_MODES``). All model
-    invariants are enforced before the model is returned.
+    invariants are enforced before the model is returned. The transitions go
+    straight into the model's CSR arrays (sorted by target, zero
+    probabilities dropped); no dense row is built.
     """
     if mode not in VALIDATION_MODES:
         raise ValueError(f"mode must be one of {VALIDATION_MODES}, got {mode!r}")
@@ -163,79 +153,131 @@ def load_model(data: str | bytes, mode: str = "tolerant") -> FiniteHorizonMdp:
     state_count = len(states)
 
     labels: list[str] = []
+    seen_labels: set[str] = set()
     state_metadata: list[dict] = []
-    actions: list[tuple[Action, ...]] = []
+    rewards: list[float] = []
+    action_offsets = [0]
+    row_offsets = [0]
+    targets: list[int] = []
+    probs: list[float] = []
+    action_labels: list[str] = []
+    action_metadata: list[dict] = []
     for s_idx, state in enumerate(states):
         s_path = f"model.states[{s_idx}]"
         label = _as_string(_require(state, "label", s_path), f"{s_path}.label")
-        if label in labels:
+        if label in seen_labels:
             raise ModelValidationError(
                 f"state {s_idx + 1}: duplicate state label {label!r}"
             )
         labels.append(label)
+        seen_labels.add(label)
         state_metadata.append(_optional_metadata(state, s_path))
 
         raw_actions = _as_list(_require(state, "actions", s_path), f"{s_path}.actions")
         if not raw_actions:
             raise ModelValidationError(f"state {s_idx + 1} has no actions")
-        built: list[Action] = []
         for a_idx, action in enumerate(raw_actions):
             a_path = f"{s_path}.actions[{a_idx}]"
-            where = f"state {s_idx + 1}, action {a_idx + 1}"
-            reward = _as_number(_require(action, "reward", a_path), f"{a_path}.reward")
+            rewards.append(
+                _as_number(_require(action, "reward", a_path), f"{a_path}.reward")
+            )
             transitions = _as_list(
                 action.get("transitions", []), f"{a_path}.transitions"
             )
-            row = _dense_row(transitions, state_count, f"{a_path}.transitions", where)
-            if mode == "renormalize":
-                total = math.fsum(row)
-                if total > 0.0 and abs(total - 1.0) <= PROBABILITY_TOLERANCE:
-                    row = [p / total for p in row]
-            built.append(
-                Action(
-                    reward=reward,
-                    probabilities=tuple(row),
-                    label=_as_string(action.get("label", ""), f"{a_path}.label"),
-                    metadata=_optional_metadata(action, a_path),
-                )
+            seen: set[int] = set()
+            for t_idx, entry in enumerate(transitions):
+                # Well-formed entries skip the checked parse, which builds the
+                # path strings its error messages need.
+                if not (
+                    type(entry) is dict
+                    and type(target := entry.get("to_state")) is int
+                    and type(probability := entry.get("probability")) is float
+                ):
+                    target, probability = _transition(
+                        entry, f"{a_path}.transitions[{t_idx}]"
+                    )
+                if not 1 <= target <= state_count:
+                    raise ModelValidationError(
+                        f"state {s_idx + 1}, action {a_idx + 1}: transition target "
+                        f"{target} out of range 1..{state_count}"
+                    )
+                if target in seen:
+                    raise ModelValidationError(
+                        f"state {s_idx + 1}, action {a_idx + 1}: duplicate "
+                        f"transition target {target}"
+                    )
+                seen.add(target)
+                targets.append(target - 1)
+                probs.append(probability)
+            row_offsets.append(len(targets))
+            action_labels.append(
+                _as_string(action.get("label", ""), f"{a_path}.label")
             )
-        actions.append(tuple(built))
+            action_metadata.append(_optional_metadata(action, a_path))
+        action_offsets.append(len(rewards))
 
+    # CSR layout: each row sorted by target, zero probabilities dropped after
+    # any renormalization.
+    row_of = np.repeat(np.arange(len(rewards)), np.diff(row_offsets))
+    target_array = np.array(targets, dtype=np.intp)
+    order = np.argsort(row_of * state_count + target_array, kind="stable")
+    target_array = target_array[order]
+    prob_array = np.array(probs, dtype=np.float64)[order]
+    if mode == "renormalize":
+        totals = np.array(row_sums(prob_array, np.array(row_offsets)))
+        rescale = (totals > 0.0) & (np.abs(totals - 1.0) <= PROBABILITY_TOLERANCE)
+        prob_array = prob_array / np.where(rescale, totals, 1.0)[row_of]
+    stored = prob_array != 0.0
+    kept_per_row = np.bincount(row_of[stored], minlength=len(rewards))
     mdp = FiniteHorizonMdp(
-        actions=tuple(actions),
-        state_labels=tuple(labels),
-        state_metadata=tuple(state_metadata),
+        rewards=rewards,
+        action_offsets=action_offsets,
+        row_offsets=np.concatenate(([0], np.cumsum(kept_per_row))),
+        targets=target_array[stored],
+        probs=prob_array[stored],
+        action_labels=action_labels,
+        action_metadata=action_metadata,
+        state_labels=labels,
+        state_metadata=state_metadata,
         reward_unit=reward_unit,
     )
     if mode == "strict":
-        for i, acts in enumerate(mdp.actions):
-            for k, act in enumerate(acts):
-                total = math.fsum(act.probabilities)
-                if total != 1.0:
-                    raise ModelValidationError(
-                        f"state {i + 1}, action {k + 1}: strict mode requires an "
-                        f"exact probability sum of 1, got {total!r}"
-                    )
+        for a, total in enumerate(row_sums(mdp.probs, mdp.row_offsets)):
+            if total != 1.0:
+                raise ModelValidationError(
+                    f"{mdp._where(a)}: strict mode requires an exact probability "
+                    f"sum of 1, got {total!r}"
+                )
     return mdp
 
 
 def emit_model(mdp: FiniteHorizonMdp) -> str:
     """Serialize a model; ``load_model`` recovers its numeric content exactly."""
+    rewards = mdp.rewards.tolist()
+    targets = mdp.targets.tolist()
+    probs = mdp.probs.tolist()
+    rows = mdp.row_offsets.tolist()
+    bounds = mdp.action_offsets.tolist()
     states = []
-    for i, acts in enumerate(mdp.actions):
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         state: dict[str, Any] = {"label": mdp.state_label(i)}
         if mdp.state_metadata is not None and mdp.state_metadata[i]:
             state["metadata"] = dict(mdp.state_metadata[i])
         state["actions"] = [
             {
-                **({"label": act.label} if act.label else {}),
-                **({"metadata": dict(act.metadata)} if act.metadata else {}),
-                "reward": act.reward,
+                **({"label": mdp.action_labels[a]} if mdp.action_labels[a] else {}),
+                **(
+                    {"metadata": dict(mdp.action_metadata[a])}
+                    if mdp.action_metadata[a]
+                    else {}
+                ),
+                "reward": rewards[a],
                 "transitions": [
-                    {"to_state": j + 1, "probability": p} for j, p in act.support
+                    {"to_state": targets[z] + 1, "probability": probs[z]}
+                    for z in range(rows[a], rows[a + 1])
                 ],
             }
-            for act in acts
+            for a in range(lo, hi)
         ]
         states.append(state)
     doc = {

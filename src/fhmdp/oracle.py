@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +33,9 @@ from .model import FiniteHorizonMdp
 from .solve import (
     DecisionTable,
     SolveResult,
+    ValueTable,
     _check_horizon,
     _check_policy,
-    _evaluate,
 )
 
 #: Refuse to enumerate instances with more Markov policies than this.
@@ -84,6 +84,46 @@ def count_markov_policies(mdp: FiniteHorizonMdp, horizon: int) -> int:
     return per_stage ** _check_horizon(horizon)
 
 
+#: Per state, per action: ``(reward, [(target, probability), ...])``.
+_ScalarRows = list[list[tuple[float, list[tuple[int, float]]]]]
+
+
+def _scalar_rows(mdp: FiniteHorizonMdp) -> _ScalarRows:
+    rewards = mdp.rewards.tolist()
+    targets = mdp.targets.tolist()
+    probs = mdp.probs.tolist()
+    rows = mdp.row_offsets.tolist()
+    bounds = mdp.action_offsets.tolist()
+    successors = [
+        list(zip(targets[lo:hi], probs[lo:hi])) for lo, hi in zip(rows, rows[1:])
+    ]
+    return [
+        [(rewards[a], successors[a]) for a in range(lo, hi)]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _evaluate(
+    rows: _ScalarRows, policy: DecisionTable, terminal: tuple[float, ...]
+) -> ValueTable:
+    # Plain-Python policy evaluation, kept apart from the solver's numpy
+    # kernel so that enumeration checks it independently; it follows the same
+    # summation contract (reward first, then ascending targets).
+    value_rows: list[tuple[float, ...]] = [terminal]
+    current = terminal
+    for decisions in reversed(policy):
+        row = []
+        for actions, k in zip(rows, decisions):
+            total, successors = actions[k]
+            for j, p in successors:
+                total += p * current[j]
+            row.append(total)
+        current = tuple(row)
+        value_rows.append(current)
+    value_rows.reverse()
+    return tuple(value_rows)
+
+
 def enumerate_optimal(
     mdp: FiniteHorizonMdp,
     horizon: int,
@@ -109,6 +149,7 @@ def enumerate_optimal(
         return SolveResult(values=(terminal,), decisions=())
 
     state_count = mdp.state_count
+    rows = _scalar_rows(mdp)
     choice_ranges = [
         range(mdp.action_count(i)) for _ in range(horizon) for i in range(state_count)
     ]
@@ -118,7 +159,7 @@ def enumerate_optimal(
         policy = tuple(
             flat[n * state_count : (n + 1) * state_count] for n in range(horizon)
         )
-        vec = _evaluate(mdp, policy, terminal)[0]
+        vec = _evaluate(rows, policy, terminal)[0]
         if best_vec is None:
             best_policy, best_vec = policy, vec
         elif vec != best_vec and all(a >= b for a, b in zip(vec, best_vec)):
@@ -129,7 +170,7 @@ def enumerate_optimal(
             best_policy, best_vec = policy, vec
 
     assert best_policy is not None
-    return SolveResult(values=_evaluate(mdp, best_policy, terminal), decisions=best_policy)
+    return SolveResult(values=_evaluate(rows, best_policy, terminal), decisions=best_policy)
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:
@@ -169,22 +210,25 @@ def sample_episode(
     state = start_state
     total = 0.0
     for n in range(horizon):
-        action = checked[n][state]
-        act = mdp.actions[state][action]
+        action = int(checked[n, state])
+        a = int(mdp.action_offsets[state]) + action
+        lo, hi = mdp.row_offsets[a : a + 2].tolist()
+        targets = mdp.targets[lo:hi].tolist()
+        reward = float(mdp.rewards[a])
         cumulative = 0.0
-        next_state = act.support[-1][0]
-        for j, p in act.support:
+        next_state = targets[-1]
+        for j, p in zip(targets, mdp.probs[lo:hi].tolist()):
             cumulative += p
             if uniforms[n] < cumulative:
                 next_state = j
                 break
-        total += act.reward
+        total += reward
         steps.append(
             EpisodeStep(
                 epoch=n,
                 state=state,
                 action=action,
-                reward=act.reward,
+                reward=reward,
                 next_state=next_state,
             )
         )
@@ -197,26 +241,24 @@ def _walk_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense reward/cumulative-probability tables for the vectorized walk."""
     n = mdp.state_count
-    max_actions = max(mdp.action_count(i) for i in range(n))
-    rewards = np.zeros((n, max_actions))
-    cumulative = np.zeros((n, max_actions, n))
-    last_support = np.zeros((n, max_actions), dtype=np.intp)
-    for i, acts in enumerate(mdp.actions):
-        for k, act in enumerate(acts):
-            rewards[i, k] = act.reward
-            acc = 0.0
-            row = cumulative[i, k]
-            for j, p in act.support:
-                acc += p
-                row[j] = acc
-            # Forward-fill so "first state whose cumulative exceeds u" can be
-            # found with a single vectorized comparison.
-            running = 0.0
-            for j in range(n):
-                if row[j] > 0.0:
-                    running = row[j]
-                row[j] = running
-            last_support[i, k] = act.support[-1][0]
+    counts = np.diff(mdp.action_offsets)
+    state_of = np.repeat(np.arange(n), counts)
+    slot_of = np.arange(len(mdp.rewards)) - mdp.action_offsets[state_of]
+    rewards = np.zeros((n, int(counts.max())))
+    rewards[state_of, slot_of] = mdp.rewards
+    last_support = np.zeros(rewards.shape, dtype=np.intp)
+    last_support[state_of, slot_of] = mdp.targets[mdp.row_offsets[1:] - 1]
+    cumulative = np.zeros((*rewards.shape, n))
+    probs = mdp.probs.tolist()
+    rows = mdp.row_offsets.tolist()
+    for a, (i, k) in enumerate(zip(state_of.tolist(), slot_of.tolist())):
+        lo, hi = rows[a], rows[a + 1]
+        # Sequential running sums, as in sample_episode's scalar walk.
+        cumulative[i, k, mdp.targets[lo:hi]] = list(accumulate(probs[lo:hi]))
+    # Forward-fill so "first state whose cumulative exceeds u" can be found
+    # with a single vectorized comparison; stored sums are positive and
+    # nondecreasing along a row, so a running maximum fills the gaps.
+    np.maximum.accumulate(cumulative, axis=2, out=cumulative)
     return rewards, cumulative, last_support
 
 
@@ -250,12 +292,10 @@ def simulate_policy(
         uniforms[e] = _episode_rng(seed, e).random(horizon)
 
     rewards, cumulative, last_support = _walk_tables(mdp)
-    policy_arr = np.asarray(checked, dtype=np.intp).reshape(horizon, mdp.state_count)
-
     states = np.full(episodes, start_state, dtype=np.intp)
     totals = np.zeros(episodes)
     for n in range(horizon):
-        actions = policy_arr[n][states]
+        actions = checked[n][states]
         totals += rewards[states, actions]
         rows = cumulative[states, actions]
         hit = uniforms[:, n][:, None] < rows

@@ -67,6 +67,27 @@ def test_solve_with_terminal_values(capsys, tmp_path, toy_model_file):
     assert json.loads(out)["value_table"][1] == [10.0, 20.0]
 
 
+def test_solve_rejects_nonfinite_terminal_values(capsys, tmp_path, toy_model_file):
+    terminal = tmp_path / "terminal.json"
+    terminal.write_text("[NaN, 0.0]", "utf-8")
+    code, out, err = run(
+        capsys, "solve", "--model", toy_model_file, "--terminal-values", str(terminal)
+    )
+    assert code == 2
+    assert out == ""
+    assert "state 1 is not finite" in err
+
+
+def test_solve_rejects_integer_too_large_for_float(capsys, tmp_path, toy_model_file):
+    bad = tmp_path / "huge.json"
+    text = open(toy_model_file, encoding="utf-8").read()
+    bad.write_text(text.replace('"reward": 1.0', '"reward": 1' + "0" * 400, 1), "utf-8")
+    code, out, err = run(capsys, "solve", "--model", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "reward: integer too large for a float" in err
+
+
 def test_solve_missing_model(capsys):
     code, out, err = run(capsys, "solve", "--model", "nope.json")
     assert code == 2

@@ -208,6 +208,66 @@ def test_renormalize_mode_still_rejects_bad_rows():
         load_model(as_json(doc), mode="renormalize")
 
 
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        ("reward", r"model\.states\[0\]\.actions\[0\]\.reward"),
+        (
+            "probability",
+            r"model\.states\[0\]\.actions\[0\]\.transitions\[1\]\.probability",
+        ),
+    ],
+    ids=["reward", "probability"],
+)
+def test_integer_too_large_for_float_rejected(field, path):
+    text = as_json(model_doc())
+    huge = "1" + "0" * 400
+    if field == "reward":
+        text = text.replace('"reward": 1.5', f'"reward": {huge}')
+    else:
+        text = text.replace('"probability": 0.75', f'"probability": {huge}')
+    with pytest.raises(ModelFormatError, match=path + ": integer too large"):
+        load_model(text)
+
+
+def test_integer_too_large_in_results_and_vectors():
+    huge = "1" + "0" * 400
+    with pytest.raises(ModelFormatError, match=r"terminal_values\[1\]"):
+        load_terminal_values(f"[0, {huge}]")
+    results = (
+        f'{{"format_version": "1", "value_table": [[{huge}]], "decision_table": []}}'
+    )
+    with pytest.raises(ModelFormatError, match=r"results\.value_table\[0\]\[0\]"):
+        load_expected_results(results)
+
+
+def test_chain_model_storage_is_linear_in_nonzeros():
+    states = 3000
+    doc = {
+        "format_version": "1",
+        "states": [
+            {
+                "label": f"s{i}",
+                "actions": [
+                    {
+                        "reward": 1.0,
+                        "transitions": [
+                            {"to_state": min(i + 2, states), "probability": 1.0}
+                        ],
+                    }
+                ],
+            }
+            for i in range(states)
+        ],
+    }
+    mdp = load_model(as_json(doc))
+    assert mdp.targets.size == states
+    assert mdp.probs.size == states
+    result = solve_backward_induction(mdp, 5)
+    assert result.values[0] == (5.0,) * states
+    assert result.decisions == ((0,) * states,) * 5
+
+
 def test_unknown_validation_mode():
     with pytest.raises(ValueError, match="mode"):
         load_model(as_json(model_doc()), mode="lenient")

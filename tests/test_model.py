@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -162,3 +163,35 @@ def test_terminal_values_default_zeros():
 def test_terminal_values_length_checked():
     with pytest.raises(ValueError, match="2 entries for 3 states"):
         validate_terminal_values([1.0, 2.0], 3)
+
+
+def test_overflowing_row_sum_rejected():
+    with pytest.raises(ModelValidationError, match="state 1, action 1: .*sum to inf"):
+        two_state((1e308, 1e308))
+
+
+def test_csr_arrays_are_read_only_and_rebuilt_by_replace():
+    mdp = two_state((0.25, 0.75))
+    assert mdp.targets.tolist() == [0, 1, 0, 1]
+    assert mdp.row_offsets.tolist() == [0, 2, 4]
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.probs[0] = 1.0
+    assert dataclasses.replace(mdp) == mdp
+    with pytest.raises(ModelValidationError, match="state 1, action 1: .*sum to 1.5"):
+        dataclasses.replace(mdp, probs=[0.75, 0.75, 0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"targets": [1, 0, 0, 1]}, "ascend strictly"),
+        ({"targets": [0, 2, 0, 1]}, "ascend strictly"),
+        ({"probs": [0.0, 1.0, 0.5, 0.5]}, "stored zero probability to state 1"),
+        ({"row_offsets": [0, 2, 3]}, "row_offsets"),
+        ({"action_offsets": [0, 1, 3]}, "action_offsets"),
+        ({"targets": [0.0, 1.0, 0.0, 1.0]}, "targets must hold integers"),
+    ],
+)
+def test_csr_structure_validated(changes, message):
+    with pytest.raises(ModelValidationError, match=message):
+        dataclasses.replace(two_state((0.25, 0.75)), **changes)

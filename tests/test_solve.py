@@ -1,8 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhmdp import (
     Action,
@@ -259,3 +262,132 @@ def test_forced_single_action_state():
     result = solve_backward_induction(mdp, 2)
     assert result.values[0] == (10.0,)
     assert result.decisions == ((0,), (0,))
+
+
+# --- kernel bit-identity -------------------------------------------------------
+
+
+def scalar_backward_induction(mdp, horizon, terminal):
+    """Plain-Python solver over the dense ``Action`` view.
+
+    Each lookahead starts from the reward and adds ``p * v[j]`` for the
+    nonzero ``p`` in ascending ``j``; a strict ``>`` keeps the lowest index.
+    """
+    current = tuple(terminal)
+    values = [current]
+    decisions = []
+    for _ in range(horizon):
+        row, chosen = [], []
+        for acts in mdp.actions:
+            best_value, best_action = None, 0
+            for k, act in enumerate(acts):
+                total = act.reward
+                for j, p in enumerate(act.probabilities):
+                    if p != 0.0:
+                        total += p * current[j]
+                if k == 0 or total > best_value:
+                    best_value, best_action = total, k
+            row.append(best_value)
+            chosen.append(best_action)
+        current = tuple(row)
+        values.append(current)
+        decisions.append(tuple(chosen))
+    values.reverse()
+    decisions.reverse()
+    return tuple(values), tuple(decisions)
+
+
+def hex_table(values):
+    return [[v.hex() for v in row] for row in values]
+
+
+def assert_kernel_matches_reference(mdp, horizon, terminal):
+    result = solve_backward_induction(mdp, horizon, terminal)
+    values, decisions = scalar_backward_induction(mdp, horizon, terminal)
+    assert hex_table(result.values) == hex_table(values)
+    assert result.decisions == decisions
+    evaluated = evaluate_policy(mdp, result.decisions, horizon, terminal)
+    assert hex_table(evaluated) == hex_table(result.values)
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_kernel_matches_scalar_reference_bitwise(seed, horizon):
+    # Mixed action counts per state and rows with different nonzero counts.
+    rng = np.random.default_rng(seed)
+    mdp = make_random_model(
+        rng, max_states=6, max_actions=4, nonnegative_rewards=False
+    )
+    terminal = tuple(rng.uniform(-50.0, 50.0, mdp.state_count).tolist())
+    assert_kernel_matches_reference(mdp, horizon, terminal)
+
+
+def test_kernel_keeps_negative_zero_on_single_transition_row():
+    # -0.0 + 1.0 * -0.0 is -0.0; adding a padded 0.0 * 5.0 would give +0.0.
+    mdp = FiniteHorizonMdp(
+        actions=uniform_actions(
+            rewards=[[-0.0], [0.0]],
+            rows=[[[1.0, 0.0]], [[0.5, 0.5]]],
+        )
+    )
+    result = assert_kernel_matches_reference(mdp, 3, (-0.0, 5.0))
+    assert [row[0].hex() for row in result.values] == ["-0x0.0p+0"] * 4
+
+
+def test_kernel_exact_tie_goes_to_lowest_index():
+    # Actions 2 and 3 tie exactly through different rows; action 1 is worse.
+    mdp = FiniteHorizonMdp(
+        actions=uniform_actions(
+            rewards=[[-1.0, 2.0, 1.0], [1.0, 1.0]],
+            rows=[
+                [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                [[0.0, 1.0], [0.0, 1.0]],
+            ],
+        )
+    )
+    result = assert_kernel_matches_reference(mdp, 1, (2.0, 0.0))
+    assert result.values[0] == (2.0, 1.0)
+    assert result.decisions == ((1, 0),)
+
+
+def test_kernel_overflow_to_infinities_and_nan():
+    big = 1.7e308
+    mdp = FiniteHorizonMdp(
+        actions=uniform_actions(
+            rewards=[
+                [big],
+                [-big],
+                [0.0, 1.0, big],
+                [2.0, 0.0, big],
+            ],
+            rows=[
+                [[1.0, 0.0, 0.0, 0.0]],
+                [[0.0, 1.0, 0.0, 0.0]],
+                [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                [[0.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+            ],
+        )
+    )
+    with warnings.catch_warnings():
+        # Python floats overflow silently; so must the kernel.
+        warnings.simplefilter("error")
+        result = assert_kernel_matches_reference(mdp, 4, (0.0,) * 4)
+    first = result.values[0]
+    assert first[0] == math.inf and first[1] == -math.inf
+    # A NaN first action is kept (nothing compares greater than NaN); a NaN
+    # later action never displaces the incumbent.
+    assert math.isnan(first[2]) and result.decisions[0][2] == 0
+    assert first[3] == math.inf and result.decisions[0][3] == 2
+
+
+def test_policy_entries_must_be_integers(toy_model):
+    with pytest.raises(ValueError, match="state 0: action index 1.0 is not an integer"):
+        evaluate_policy(toy_model, ((1.0, 0),), 1)
+
+
+def test_nonfinite_terminal_values_rejected(toy_model):
+    with pytest.raises(ValueError, match="state 2 is not finite"):
+        solve_backward_induction(toy_model, 1, terminal_values=[0.0, math.nan])
+    with pytest.raises(ValueError, match="state 1 is not finite"):
+        evaluate_policy(toy_model, ((0, 0),), 1, terminal_values=[-math.inf, 0.0])
