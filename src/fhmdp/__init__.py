@@ -21,6 +21,7 @@ from .errors import (
 from .formats import (
     ExpectedResults,
     compare_results,
+    emit_estimates,
     emit_model,
     emit_report,
     load_expected_results,
@@ -72,6 +73,7 @@ __all__ = [
     "compare_results",
     "count_markov_policies",
     "dataset_text",
+    "emit_estimates",
     "emit_model",
     "emit_report",
     "enumerate_optimal",

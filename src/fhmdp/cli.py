@@ -14,7 +14,6 @@ name.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -25,6 +24,7 @@ from .formats import (
     REPORT_FORMATS,
     VALIDATION_MODES,
     compare_results,
+    emit_estimates,
     emit_report,
     load_expected_results,
     load_model,
@@ -33,7 +33,6 @@ from .formats import (
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    MonteCarloEstimate,
     count_markov_policies,
     enumerate_optimal,
     simulate_policy,
@@ -101,39 +100,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_estimates(estimates: list[MonteCarloEstimate], report_format: str) -> str:
-    if report_format == "json":
-        doc = [
-            {
-                "start_state": est.start_state + 1,
-                "episodes": est.episode_count,
-                "mean": est.mean,
-                "standard_error": est.standard_error,
-                "seed": est.seed,
-            }
-            for est in estimates
-        ]
-        return json.dumps(doc, indent=2) + "\n"
-    rows = [
-        (
-            str(est.start_state + 1),
-            str(est.episode_count),
-            repr(est.mean) if report_format == "csv" else f"{est.mean:.6g}",
-            repr(est.standard_error) if report_format == "csv" else f"{est.standard_error:.6g}",
-            str(est.seed),
-        )
-        for est in estimates
-    ]
-    header = ("start_state", "episodes", "mean", "standard_error", "seed")
-    if report_format == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     mdp = _load_model_arg(args)
     if args.policy:
@@ -153,14 +119,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         simulate_policy(mdp, policy, start, args.episodes, args.seed)
         for start in starts
     ]
-    sys.stdout.write(_emit_estimates(estimates, args.format))
+    sys.stdout.write(emit_estimates(estimates, args.format))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     mdp = _load_model_arg(args)
-    result = solve_backward_induction(mdp, args.horizon)
+    # Enumeration first: it rejects an instance over the cap before any work.
     benchmark = enumerate_optimal(mdp, args.horizon, cap=args.cap)
+    result = solve_backward_induction(mdp, args.horizon)
     diffs = [
         abs(a - b) for a, b in zip(result.values[0], benchmark.values[0])
     ]

@@ -13,13 +13,15 @@ offending location; violated model invariants raise
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ModelFormatError, ModelValidationError
 from .model import PROBABILITY_TOLERANCE, FiniteHorizonMdp, row_sums
+from .oracle import MonteCarloEstimate
 from .solve import DecisionTable, SolveResult, ValueTable
 
 MODEL_FORMAT_VERSION = "1"
@@ -91,6 +93,13 @@ def _as_number(value: Any, path: str) -> float:
         return float(value)
     except OverflowError:
         raise ModelFormatError(f"{path}: integer too large for a float") from None
+
+
+def _as_finite(value: Any, path: str) -> float:
+    number = _as_number(value, path)
+    if not math.isfinite(number):
+        raise ModelValidationError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -300,7 +309,7 @@ def load_expected_results(data: str | bytes) -> ExpectedResults:
     for n, row in enumerate(raw_values):
         path = f"results.value_table[{n}]"
         cells = _as_list(row, path)
-        value_rows.append(tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(cells)))
+        value_rows.append(tuple(_as_finite(v, f"{path}[{i}]") for i, v in enumerate(cells)))
     state_count = len(value_rows[0])
     if state_count == 0:
         raise ModelValidationError("results.value_table rows must not be empty")
@@ -336,8 +345,8 @@ def load_expected_results(data: str | bytes) -> ExpectedResults:
             decisions.append(k - 1)
         decision_rows.append(tuple(decisions))
 
-    abs_tol = _as_number(doc.get("value_tolerance_abs", 0.0), "results.value_tolerance_abs")
-    rel_tol = _as_number(doc.get("value_tolerance_rel", 0.0), "results.value_tolerance_rel")
+    abs_tol = _as_finite(doc.get("value_tolerance_abs", 0.0), "results.value_tolerance_abs")
+    rel_tol = _as_finite(doc.get("value_tolerance_rel", 0.0), "results.value_tolerance_rel")
     if abs_tol < 0.0 or rel_tol < 0.0:
         raise ModelValidationError("results tolerances must be >= 0")
     return ExpectedResults(
@@ -453,7 +462,7 @@ def _format_table(result: SolveResult, reward_unit: str) -> str:
 
 def _align(headers: list[str], rows: list[list[str]]) -> list[str]:
     widths = [
-        max(len(headers[c]), *(len(row[c]) for row in rows))
+        max([len(headers[c])] + [len(row[c]) for row in rows])
         for c in range(len(headers))
     ]
     out = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
@@ -500,6 +509,50 @@ def emit_report(
     raise ValueError(
         f"report format must be one of {REPORT_FORMATS}, got {report_format!r}"
     )
+
+
+def emit_estimates(
+    estimates: Sequence[MonteCarloEstimate], report_format: str = "table"
+) -> str:
+    """Render Monte Carlo estimates as an aligned table, CSV, or JSON.
+
+    One row per estimate: the 1-based start state, episode count, mean,
+    standard error and seed. The table shows the mean and standard error to
+    6 significant digits; CSV and JSON carry full precision.
+    """
+    if report_format == "json":
+        doc = [
+            {
+                "start_state": est.start_state + 1,
+                "episodes": est.episode_count,
+                "mean": est.mean,
+                "standard_error": est.standard_error,
+                "seed": est.seed,
+            }
+            for est in estimates
+        ]
+        return json.dumps(doc, indent=2) + "\n"
+    if report_format not in REPORT_FORMATS:
+        raise ValueError(
+            f"report format must be one of {REPORT_FORMATS}, got {report_format!r}"
+        )
+    number = repr if report_format == "csv" else "{:.6g}".format
+    headers = ["start_state", "episodes", "mean", "standard_error", "seed"]
+    rows = [
+        [
+            str(est.start_state + 1),
+            str(est.episode_count),
+            number(est.mean),
+            number(est.standard_error),
+            str(est.seed),
+        ]
+        for est in estimates
+    ]
+    if report_format == "csv":
+        lines = [",".join(row) for row in [headers, *rows]]
+    else:
+        lines = _align(headers, rows)
+    return "\n".join(lines) + "\n"
 
 
 def load_terminal_values(data: str | bytes) -> tuple[float, ...]:

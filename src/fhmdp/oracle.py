@@ -12,10 +12,16 @@ Two complementary oracles:
 Sampling is reproducible: episode ``e`` draws from a PCG64 generator seeded
 by ``SeedSequence(entropy=seed, spawn_key=(e,))``, so growing the episode
 count never reshuffles earlier episodes, and episodes are independent
-streams safe to evaluate in any order. Successor states are drawn by
-inverse CDF over the transition row in ascending state order, with any
+streams safe to evaluate in any order. The streams of all episodes are
+computed at once in numpy (the SeedSequence hash mixing as uint32
+arithmetic, the PCG64 128-bit LCG on pairs of uint64 limbs) and are bit for
+bit the ``Generator.random`` draws of those generators. Successor states are
+drawn by inverse CDF over the transition row in ascending state order: the
+first stored target whose sequential running sum exceeds the draw, with any
 residual mass from rounding assigned to the last positive-probability
-state.
+state. One sparse walk over the model's CSR arrays does this for every
+episode at once; :func:`sample_episode` runs it for a single episode and
+records the trace, :func:`simulate_policy` for many.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -138,10 +144,15 @@ def enumerate_optimal(
     policies.
     """
     horizon = _check_horizon(horizon)
-    count = count_markov_policies(mdp, horizon)
-    if count > cap:
+    # Compare in log space first, so that a huge count is never built (nor
+    # formatted); only counts within a factor of e of the cap are exact.
+    log_count = horizon * float(np.log(np.diff(mdp.action_offsets)).sum())
+    if log_count > math.log(max(cap, 1)) + 1.0 or count_markov_policies(
+        mdp, horizon
+    ) > cap:
         raise InstanceTooLargeError(
-            f"instance has {count} Markov policies, exceeding the cap of {cap}"
+            f"instance has about 10^{log_count / math.log(10):.1f} Markov "
+            f"policies, exceeding the cap of {cap}"
         )
 
     terminal = (0.0,) * mdp.state_count
@@ -174,15 +185,215 @@ def enumerate_optimal(
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:
+    # The stream contract in its reference form; tests check the vectorized
+    # streams below against it.
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(episode,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_seed(seed: int) -> int:
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+def _check_nonnegative(value: int, name: str) -> int:
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+_MASK32 = 0xFFFFFFFF
+
+# numpy's SeedSequence constants; the pool holds four uint32 words.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+# PCG64's 128-bit LCG multiplier as high and low 64-bit limbs.
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n >= 0``, as SeedSequence splits ints."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(...).generate_state(4, np.uint64)`` for entropy words.
+
+    Each word is a uint32 array and all arithmetic wraps modulo 2**32. The
+    arrays broadcast, so a word that every stream shares can have length 1.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Pairs of uint32 words, read little-endian, are the four uint64 words.
+    return [out[2 * k] | (out[2 * k + 1] << _SHIFT32) for k in range(4)]
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    # Neither partial sum can exceed 2**64 - 1, so none of them wraps.
+    t = a1 * b0 + ((a0 * b0) >> _SHIFT32)
+    w = a0 * b1 + (t & _LOW32)
+    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32)
+
+
+def _pcg_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, ``state * MULT + inc`` modulo 2**128, on (hi, lo) limbs."""
+    product_hi = (
+        _mulhi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    )
+    product_lo = lo * _PCG_MULT_LO
+    lo = product_lo + inc_lo
+    return product_hi + inc_hi + (lo < product_lo), lo
+
+
+def _stream_uniforms(seed: int, keys: np.ndarray, horizon: int) -> np.ndarray:
+    """The first ``horizon`` ``random()`` draws of every stream, shape (E, horizon).
+
+    Row ``e`` equals ``Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(k,)))).random(horizon)`` bit for bit, where ``k`` is the
+    integer whose little-endian 32-bit words are ``keys[e]`` (a uint32 array
+    of shape (E, words)).
+    """
+    seed_words = _words(seed)
+    # A spawn key pads the seed's words with zeros up to the pool size.
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    entropy = [np.array([w], dtype=np.uint32) for w in seed_words]
+    entropy += [np.ascontiguousarray(keys[:, c]) for c in range(keys.shape[1])]
+    state_hi, state_lo, seq_hi, seq_lo = _seed_state(entropy)
+
+    # PCG64 seeding: inc = (initseq << 1) | 1; step from state 0 (which
+    # gives inc); add initstate; step again.
+    one = np.uint64(1)
+    inc_hi = (seq_hi << one) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << one) | one
+    lo = inc_lo + state_lo
+    hi = inc_hi + state_hi + (lo < state_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+    out = np.empty((len(keys), horizon), order="F")
+    for n in range(horizon):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output: hi ^ lo rotated right by the top six state bits;
+        # random() keeps its top 53 bits.
+        xored = hi ^ lo
+        rot = hi >> np.uint64(58)
+        raw = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, n] = (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return out
+
+
+def _episode_uniforms(seed: int, episodes: np.ndarray, horizon: int) -> np.ndarray:
+    """Draws of the episodes with uint64 indices ``episodes``, one row each."""
+    low = (episodes & _LOW32).astype(np.uint32)[:, None]
+    wide = episodes > _LOW32
+    if not wide.any():
+        return _stream_uniforms(seed, low, horizon)
+    # Indices of 2**32 and above carry a two-word spawn key.
+    keys = np.hstack([low, (episodes >> _SHIFT32).astype(np.uint32)[:, None]])
+    out = np.empty((len(episodes), horizon), order="F")
+    out[~wide] = _stream_uniforms(seed, low[~wide], horizon)
+    out[wide] = _stream_uniforms(seed, keys[wide], horizon)
+    return out
+
+
+def _running_sums(mdp: FiniteHorizonMdp) -> np.ndarray:
+    """Per CSR row, the sequential running sums of its probabilities.
+
+    Entry ``z`` is ``((p[lo] + p[lo + 1]) + ...) + p[z]`` added left to right
+    within the row, exactly as a scalar loop would; rows are processed
+    column by column so each addition is one vectorized step.
+    """
+    cumulative = mdp.probs.copy()
+    lengths = np.diff(mdp.row_offsets)
+    starts = mdp.row_offsets[:-1][np.argsort(-lengths, kind="stable")]
+    ascending = np.sort(lengths)
+    for c in range(1, int(ascending[-1])):
+        # Rows with more than c entries are a prefix of ``starts``.
+        width = len(ascending) - int(np.searchsorted(ascending, c, side="right"))
+        z = starts[:width] + c
+        cumulative[z] += cumulative[z - 1]
+    return cumulative
+
+
+def _walk(
+    mdp: FiniteHorizonMdp, policy: np.ndarray, start_state: int, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one episode per row of ``uniforms`` (E, H) from ``start_state``.
+
+    Returns each episode's total reward, summed in epoch order from 0.0, and
+    the visited states, shape (H + 1, E). At epoch ``n`` the successor is the
+    first stored target whose running sum exceeds ``uniforms[:, n]``, or the
+    row's last target when none does. The search is a bisection within each
+    row that only compares the running sums with ``u``, so it is exact.
+    """
+    episodes, horizon = uniforms.shape
+    cumulative = _running_sums(mdp)
+    rounds = int(np.diff(mdp.row_offsets).max() - 1).bit_length()
+    path = np.empty((horizon + 1, episodes), dtype=np.intp)
+    path[0] = start_state
+    totals = np.zeros(episodes)
+    for n in range(horizon):
+        states = path[n]
+        a = mdp.action_offsets[states] + policy[n, states]
+        totals += mdp.rewards[a]
+        # The answer lies in [left, right]; right always qualifies (the
+        # last target is the fallback), so it only moves down onto a running
+        # sum above u. Once left passes right, mid stays at right.
+        left = mdp.row_offsets[a]
+        right = mdp.row_offsets[a + 1] - 1
+        u = uniforms[:, n]
+        for _ in range(rounds):
+            mid = (left + right) >> 1
+            above = cumulative[mid] > u
+            right = np.where(above, mid, right)
+            left = np.where(above, left, mid + 1)
+        path[n + 1] = mdp.targets[right]
+    return totals, path
 
 
 def sample_episode(
@@ -197,69 +408,33 @@ def sample_episode(
     Episode ``episode`` of :func:`simulate_policy` with the same arguments
     follows exactly this trajectory.
     """
-    seed = _check_seed(seed)
+    seed = _check_nonnegative(seed, "seed")
+    episode = _check_nonnegative(episode, "episode")
     horizon = len(policy)
     checked = _check_policy(mdp, policy, horizon)
     if not 0 <= start_state < mdp.state_count:
         raise ValueError(
             f"start_state {start_state} out of range 0..{mdp.state_count - 1}"
         )
-    uniforms = _episode_rng(seed, episode).random(horizon)
+    keys = np.array([_words(episode)], dtype=np.uint32)
+    uniforms = _stream_uniforms(seed, keys, horizon)
+    totals, path = _walk(mdp, checked, start_state, uniforms)
 
-    steps: list[EpisodeStep] = []
-    state = start_state
-    total = 0.0
-    for n in range(horizon):
-        action = int(checked[n, state])
-        a = int(mdp.action_offsets[state]) + action
-        lo, hi = mdp.row_offsets[a : a + 2].tolist()
-        targets = mdp.targets[lo:hi].tolist()
-        reward = float(mdp.rewards[a])
-        cumulative = 0.0
-        next_state = targets[-1]
-        for j, p in zip(targets, mdp.probs[lo:hi].tolist()):
-            cumulative += p
-            if uniforms[n] < cumulative:
-                next_state = j
-                break
-        total += reward
-        steps.append(
-            EpisodeStep(
-                epoch=n,
-                state=state,
-                action=action,
-                reward=reward,
-                next_state=next_state,
-            )
+    visited = path[:, 0]
+    chosen = checked[np.arange(horizon), visited[:-1]]
+    rewards = mdp.rewards[mdp.action_offsets[visited[:-1]] + chosen].tolist()
+    states, actions = visited.tolist(), chosen.tolist()
+    steps = tuple(
+        EpisodeStep(
+            epoch=n,
+            state=states[n],
+            action=actions[n],
+            reward=rewards[n],
+            next_state=states[n + 1],
         )
-        state = next_state
-    return EpisodeTrace(steps=tuple(steps), total_reward=total)
-
-
-def _walk_tables(
-    mdp: FiniteHorizonMdp,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense reward/cumulative-probability tables for the vectorized walk."""
-    n = mdp.state_count
-    counts = np.diff(mdp.action_offsets)
-    state_of = np.repeat(np.arange(n), counts)
-    slot_of = np.arange(len(mdp.rewards)) - mdp.action_offsets[state_of]
-    rewards = np.zeros((n, int(counts.max())))
-    rewards[state_of, slot_of] = mdp.rewards
-    last_support = np.zeros(rewards.shape, dtype=np.intp)
-    last_support[state_of, slot_of] = mdp.targets[mdp.row_offsets[1:] - 1]
-    cumulative = np.zeros((*rewards.shape, n))
-    probs = mdp.probs.tolist()
-    rows = mdp.row_offsets.tolist()
-    for a, (i, k) in enumerate(zip(state_of.tolist(), slot_of.tolist())):
-        lo, hi = rows[a], rows[a + 1]
-        # Sequential running sums, as in sample_episode's scalar walk.
-        cumulative[i, k, mdp.targets[lo:hi]] = list(accumulate(probs[lo:hi]))
-    # Forward-fill so "first state whose cumulative exceeds u" can be found
-    # with a single vectorized comparison; stored sums are positive and
-    # nondecreasing along a row, so a running maximum fills the gaps.
-    np.maximum.accumulate(cumulative, axis=2, out=cumulative)
-    return rewards, cumulative, last_support
+        for n in range(horizon)
+    )
+    return EpisodeTrace(steps=steps, total_reward=float(totals[0]))
 
 
 def simulate_policy(
@@ -276,7 +451,7 @@ def simulate_policy(
     ``(seed, episodes, model, policy, start_state)``; the mean converges to
     ``evaluate_policy(...)[0][start_state]`` as ``episodes`` grows.
     """
-    seed = _check_seed(seed)
+    seed = _check_nonnegative(seed, "seed")
     episodes = operator.index(episodes)
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -287,23 +462,8 @@ def simulate_policy(
             f"start_state {start_state} out of range 0..{mdp.state_count - 1}"
         )
 
-    uniforms = np.empty((episodes, horizon))
-    for e in range(episodes):
-        uniforms[e] = _episode_rng(seed, e).random(horizon)
-
-    rewards, cumulative, last_support = _walk_tables(mdp)
-    states = np.full(episodes, start_state, dtype=np.intp)
-    totals = np.zeros(episodes)
-    for n in range(horizon):
-        actions = checked[n][states]
-        totals += rewards[states, actions]
-        rows = cumulative[states, actions]
-        hit = uniforms[:, n][:, None] < rows
-        next_states = hit.argmax(axis=1)
-        missed = ~hit.any(axis=1)
-        if missed.any():
-            next_states[missed] = last_support[states[missed], actions[missed]]
-        states = next_states
+    uniforms = _episode_uniforms(seed, np.arange(episodes, dtype=np.uint64), horizon)
+    totals, _ = _walk(mdp, checked, start_state, uniforms)
 
     if bool(np.all(totals == totals[0])):
         # Degenerate sample: the mean is exactly the common total.

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,41 @@ def test_check_mutated_decision(capsys, tmp_path):
     assert "decision[n=9][state=4]: expected 2, computed 1" in out
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("value_tolerance_abs", float("nan")),
+        ("value_tolerance_rel", float("inf")),
+    ],
+)
+def test_check_rejects_nonfinite_tolerance(capsys, tmp_path, field, value):
+    # A NaN tolerance used to make every cell pass, even one off by 10^6.
+    doc = json.loads(dataset_text("drilling", "expected"))
+    doc["value_table"][0][0] += 1e6
+    doc[field] = value
+    fixture = tmp_path / "expected.json"
+    fixture.write_text(json.dumps(doc), "utf-8")
+    code, out, err = run(
+        capsys, "check", "--model", "drilling", "--expected", str(fixture)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"results.{field}" in err
+
+
+def test_check_rejects_nan_expected_value(capsys, tmp_path):
+    doc = json.loads(dataset_text("drilling", "expected"))
+    doc["value_table"][3][7] = float("nan")
+    fixture = tmp_path / "expected.json"
+    fixture.write_text(json.dumps(doc), "utf-8")
+    code, out, err = run(
+        capsys, "check", "--model", "drilling", "--expected", str(fixture)
+    )
+    assert code == 2
+    assert out == ""
+    assert "results.value_table[3][7]" in err
+
+
 def test_check_horizon_must_match(capsys):
     code, _, err = run(capsys, "check", "--model", "drilling", "--horizon", "9")
     assert code == 2
@@ -244,6 +280,62 @@ def test_simulate_table_lists_every_state_by_default(capsys):
     assert len(lines) == 11
 
 
+SIMULATE_REPORTS = {
+    "table": (
+        "start_state  episodes     mean  standard_error  seed\n"
+        "          1       200  89784.6         418.998     3\n"
+        "          4       200   100639         222.794     3\n"
+        "         10       200   108628         13.1073     3\n"
+    ),
+    "csv": (
+        "start_state,episodes,mean,standard_error,seed\n"
+        "1,200,89784.5564,418.9976082124263,3\n"
+        "4,200,100639.23395,222.79418459697428,3\n"
+        "10,200,108627.92629999999,13.107326905574661,3\n"
+    ),
+    "json": json.dumps(
+        [
+            {
+                "start_state": 1,
+                "episodes": 200,
+                "mean": 89784.5564,
+                "standard_error": 418.9976082124263,
+                "seed": 3,
+            },
+            {
+                "start_state": 4,
+                "episodes": 200,
+                "mean": 100639.23395,
+                "standard_error": 222.79418459697428,
+                "seed": 3,
+            },
+            {
+                "start_state": 10,
+                "episodes": 200,
+                "mean": 108627.92629999999,
+                "standard_error": 13.107326905574661,
+                "seed": 3,
+            },
+        ],
+        indent=2,
+    )
+    + "\n",
+}
+
+
+@pytest.mark.parametrize("report_format", sorted(SIMULATE_REPORTS))
+def test_simulate_report_is_pinned(capsys, report_format):
+    # Byte-for-byte stdout of every report format: pins the episode streams,
+    # the sampling walk and the estimate renderer together.
+    code, out, err = run(
+        capsys, "simulate", "--model", "drilling", "--episodes", "200",
+        "--seed", "3", "--start-state", "1", "--start-state", "4",
+        "--start-state", "10", "--format", report_format,
+    )
+    assert (code, err) == (0, "")
+    assert out == SIMULATE_REPORTS[report_format]
+
+
 def test_simulate_invalid_start_state(capsys):
     code, _, err = run(
         capsys, "simulate", "--model", "drilling", "--start-state", "11",
@@ -288,6 +380,19 @@ def test_verify_rejects_oversized_instances(capsys):
     assert code == 2
     assert out == ""
     assert "exceeding the cap" in err
+
+
+@pytest.mark.parametrize("horizon", ["10000", "1000000"])
+def test_verify_rejects_huge_horizon_before_solving(capsys, horizon):
+    # The policy count has millions of digits: the cap is checked in log
+    # space, before the solve, and the message names the cap.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--model", "drilling", "--horizon", horizon)
+    assert time.perf_counter() - started < 5.0
+    assert code == 2
+    assert out == ""
+    assert "exceeding the cap of 1000000" in err
+    assert "digits" not in err
 
 
 def test_unknown_subcommand_exits_with_usage_error():

@@ -12,9 +12,11 @@ from fhmdp import (
     FiniteHorizonMdp,
     ModelFormatError,
     ModelValidationError,
+    MonteCarloEstimate,
     available_datasets,
     compare_results,
     dataset_text,
+    emit_estimates,
     emit_model,
     emit_report,
     load_drilling_expected_results,
@@ -358,6 +360,38 @@ def test_expected_results_dimension_errors():
     zero_based = dict(base, decision_table=[[0, 1]])
     with pytest.raises(ModelValidationError, match="1-based"):
         load_expected_results(as_json(zero_based))
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"value_tolerance_abs": float("nan")}, "results.value_tolerance_abs"),
+        ({"value_tolerance_abs": float("inf")}, "results.value_tolerance_abs"),
+        ({"value_tolerance_rel": float("nan")}, "results.value_tolerance_rel"),
+        ({"value_tolerance_rel": float("-inf")}, "results.value_tolerance_rel"),
+        ({"value_table": [[1.0, float("nan")], [0.0, 0.0]]}, r"results.value_table\[0\]\[1\]"),
+        ({"value_table": [[1.0, 2.0], [float("inf"), 0.0]]}, r"results.value_table\[1\]\[0\]"),
+    ],
+)
+def test_expected_results_reject_nonfinite_numbers(overrides, path):
+    doc = {
+        "format_version": "1",
+        "value_table": [[1.0, 2.0], [0.0, 0.0]],
+        "decision_table": [[1, 1]],
+    }
+    doc.update(overrides)
+    with pytest.raises(ModelValidationError, match=f"{path}: expected a finite number"):
+        load_expected_results(as_json(doc))
+
+
+def test_emit_estimates_empty_and_unknown_format():
+    estimate = MonteCarloEstimate(
+        start_state=0, episode_count=2, mean=1.0, standard_error=0.5, seed=0
+    )
+    assert emit_estimates([estimate], "csv").splitlines()[1] == "1,2,1.0,0.5,0"
+    assert emit_estimates([], "table") == "start_state  episodes  mean  standard_error  seed\n"
+    with pytest.raises(ValueError, match="report format"):
+        emit_estimates([estimate], "xml")
 
 
 def test_compare_results_pass_and_diffs(drilling):
